@@ -320,6 +320,12 @@ std::string export_json(const Snapshot& s) {
       .field("help_steps", s.migration.help_steps)
       .field("bg_steps", s.migration.bg_steps);
   j.end_obj();
+  j.key("handoff").begin_obj();
+  j.field("round_trips", s.handoff.round_trips)
+      .field("worker_parks", s.handoff.worker_parks)
+      .field("doorbell_wakes", s.handoff.doorbell_wakes)
+      .field("client_parks", s.handoff.client_parks);
+  j.end_obj();
   write_latency(j, s.latency);
   // Per-phase attribution: one object per OpKind that saw samples.
   j.key("phases").begin_obj();
@@ -474,6 +480,14 @@ std::string export_prometheus(const Snapshot& s, std::string_view prefix) {
                "online-resize migrations finalized");
   prom_counter(out, prefix, "migrations_resumed_total", labels, s.migration.resumed,
                "migrations resumed from a durable cursor on open");
+  prom_counter(out, prefix, "handoff_round_trips_total", labels, s.handoff.round_trips,
+               "service client batches completed");
+  prom_counter(out, prefix, "handoff_worker_parks_total", labels, s.handoff.worker_parks,
+               "shard-worker futex sleeps on an empty ring");
+  prom_counter(out, prefix, "handoff_doorbell_wakes_total", labels, s.handoff.doorbell_wakes,
+               "futex wakes issued to parked shard workers");
+  prom_counter(out, prefix, "handoff_client_parks_total", labels, s.handoff.client_parks,
+               "execute() calls that slept until their batch completed");
   prom_counter(out, prefix, "flight_in_flight_on_open_total", labels,
                s.flight.in_flight_on_open.size(),
                "ops the flight recorder showed in flight at the last crash");
@@ -545,7 +559,7 @@ namespace {
 constexpr std::string_view kSnapshotTopLevelKeys[] = {
     "schema",     "version",   "source",    "size",   "capacity",
     "load_factor", "shards",   "persist",   "ops",    "scrub",
-    "contention", "lifecycle", "migration", "latency", "phases",
+    "contention", "lifecycle", "migration", "handoff", "latency", "phases",
     "timeseries", "flight",   "per_shard",
 };
 

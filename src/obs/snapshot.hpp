@@ -231,6 +231,25 @@ struct MigrationSnapshot {
   }
 };
 
+/// Service hand-off between execute() and the shard workers (ShardServer
+/// only; zero elsewhere). Each park is a futex sleep and each wake a
+/// futex syscall, so parks and wakes per round trip show at a glance
+/// whether the spin-then-park transport still avoids the kernel.
+struct HandoffSnapshot {
+  u64 round_trips = 0;     ///< client batches completed
+  u64 worker_parks = 0;    ///< worker sleeps on its doorbell
+  u64 doorbell_wakes = 0;  ///< doorbell wakes issued to parked workers
+  u64 client_parks = 0;    ///< execute() calls that slept on their batch
+
+  HandoffSnapshot& operator+=(const HandoffSnapshot& o) {
+    round_trips += o.round_trips;
+    worker_parks += o.worker_parks;
+    doorbell_wakes += o.doorbell_wakes;
+    client_parks += o.client_parks;
+    return *this;
+  }
+};
+
 /// Per-op latency histograms, sampled.
 struct OpLatencySnapshot {
   HistogramSnapshot insert;
@@ -410,6 +429,7 @@ struct Snapshot {
   ContentionSnapshot contention;
   LifecycleSnapshot lifecycle;
   MigrationSnapshot migration;
+  HandoffSnapshot handoff;
   OpLatencySnapshot latency;
   PhaseSnapshot phases;
   TimeseriesGauges timeseries;
@@ -431,6 +451,7 @@ struct Snapshot {
     contention += o.contention;
     lifecycle += o.lifecycle;
     migration += o.migration;
+    handoff += o.handoff;
     latency.merge(o.latency);
     phases += o.phases;      // counters: sums, shares invariant
     timeseries += o.timeseries;  // gauges: max-merge, idempotent

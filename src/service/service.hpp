@@ -6,8 +6,22 @@
 // without sockets). Client threads submit request *batches*: execute()
 // groups the batch's keys by shard (same seeded routing hash as the
 // concurrent wrappers), pushes one work item per touched shard, and
-// blocks on an atomic completion counter until every shard visit
-// finished.
+// waits until every shard visit finished.
+//
+// Hand-off: both sides spin before they sleep. After a visit a worker
+// polls its ring for kSpinBudget (20 µs), then marks its 32-bit doorbell
+// word parked, re-checks the ring and futex-sleeps on that word;
+// push_item wakes it only when it sees the mark. A client spins on its
+// batch's pending_ counter for the same budget, then sets a parked bit in
+// that word and futex-sleeps; the worker that completes the batch wakes
+// it only when the bit is set. The budget follows the two-phase-waiting
+// rule: spin for about what a park-and-wake costs (service.cpp has the
+// figures), so a waiter never burns more than twice the cost of the
+// optimal choice. Spinning is gated: a thread spins only while the
+// server's shard workers plus its clients inside execute() fit the
+// process's CPU affinity mask. An oversubscribed server skips the spin —
+// a spinner there would hold the CPU the thread it waits for needs —
+// and only yields a few times before it parks.
 //
 // The batching window is the worker's drain loop: each visit pops up to
 // `batch_window` work items — possibly from many client batches — and
@@ -124,10 +138,13 @@ class Batch {
   std::vector<Response> responses_;
   std::vector<u32> order_;    ///< request indices grouped by shard
   std::vector<u32> offsets_;  ///< shards+1 fence posts into order_
+  /// Work items still in flight, plus kClientParked once the client
+  /// sleeps on this word (a futex word: it must stay 32 bits).
   std::atomic<u32> pending_{0};
-  /// Tick of the final complete() (traced batches only): lets the
-  /// client attribute the futex wake as its own span, so a traced
-  /// request's spans cover its whole end-to-end latency.
+  /// Tick at which a shard finished its part (traced batches only,
+  /// stamped before the completing decrement): lets the client attribute
+  /// the wake-up as its own span, so a traced request's spans cover its
+  /// whole end-to-end latency.
   std::atomic<u64> done_ticks_{0};
 };
 
@@ -182,6 +199,13 @@ class IngestRing {
     }
   }
 
+  /// Single consumer only: true when try_pop would find nothing.
+  [[nodiscard]] bool empty() const {
+    const u64 pos = tail_.load(std::memory_order_relaxed);
+    const u64 seq = slots_[pos & mask_].seq.load(std::memory_order_acquire);
+    return static_cast<i64>(seq) - static_cast<i64>(pos + 1) < 0;
+  }
+
   /// Single consumer only (the shard's worker thread).
   bool try_pop(WorkItem& out) {
     const u64 pos = tail_.load(std::memory_order_relaxed);
@@ -233,8 +257,11 @@ class ShardServer {
   ShardServer(const ShardServer&) = delete;
   ShardServer& operator=(const ShardServer&) = delete;
 
-  /// Route, enqueue and wait for one client batch. Blocks until every
-  /// touched shard answered; safe to call from many threads at once.
+  /// Route, enqueue and wait for one client batch. Returns once every
+  /// touched shard answered — after spinning for up to the hand-off
+  /// budget, then asleep — and never touches `batch` again after that,
+  /// so the caller may destroy it right away. Safe to call from many
+  /// threads at once.
   void execute(Batch& batch);
 
   /// Stop accepting batches, drain the rings, join the workers.
@@ -267,17 +294,18 @@ class ShardServer {
   [[nodiscard]] const obs::OpRecorder& request_recorder() const { return recorder_; }
   void reset_request_stats() { recorder_.reset(); }
 
-  /// Per-shard map snapshots rolled up with obs::Snapshot::absorb.
-  /// Requires the server stopped (the shard maps are single-owner and
-  /// quiescent only then); per_shard carries one brief per shard.
+  /// Per-shard map snapshots rolled up with obs::Snapshot::absorb, plus
+  /// the hand-off counters. Requires the server stopped (the shard maps
+  /// are single-owner and quiescent only then); per_shard carries one
+  /// brief per shard.
   [[nodiscard]] obs::Snapshot snapshot();
 
   /// Stats-poller view of a RUNNING server: only the pieces that are
   /// safe to read while workers serve traffic — the service-level
-  /// latency recorder, the ring-wait + per-map phase accumulators, and
-  /// the per-map migration gauges. Map internals (size/capacity/persist
-  /// counters…) are single-owner and stay zero here; use snapshot()
-  /// after stop() for those. Must not run concurrently with
+  /// latency recorder, the ring-wait + per-map phase accumulators, the
+  /// per-map migration gauges and the hand-off counters. Map internals
+  /// (size/capacity/persist counters…) are single-owner and stay zero
+  /// here; use snapshot() after stop() for those. Must not run concurrently with
   /// restart_shard() (the map swap is unsynchronized with this read).
   [[nodiscard]] obs::Snapshot live_snapshot() const;
 
@@ -299,7 +327,15 @@ class ShardServer {
     /// (attributing every item's wait against 1/64-sampled op time
     /// would report ~100% ring_wait no matter the real balance).
     obs::SampleGate ring_gate;
-    alignas(kCachelineSize) std::atomic<u64> doorbell{0};
+    // Producer-facing line: push_item reads the doorbell on every push
+    // and bumps `wakes` only to wake a sleeping worker.
+    /// Futex word: kWorkerParked while the worker sleeps (or is about
+    /// to), else 0.
+    alignas(kCachelineSize) std::atomic<u32> doorbell{0};
+    std::atomic<u64> wakes{0};  ///< doorbell wakes issued
+    // Worker-written counters, read by the snapshots.
+    alignas(kCachelineSize) std::atomic<u64> parks{0};
+    std::atomic<u64> round_trips{0};  ///< batches this worker completed
     std::atomic<bool> dead{false};
     std::unique_ptr<GroupHashMap> map;
     std::thread worker;
@@ -325,12 +361,18 @@ class ShardServer {
   };
 
   void worker_loop(Shard& shard);
+  void park_worker(Shard& shard);
+  [[nodiscard]] bool worker_woken(const Shard& shard) const;
   void serve_visit(Shard& shard);
   void serve_visit_naive(Shard& shard);
   void kill_shard(Shard& shard);
   void push_item(Shard& shard, const WorkItem& item);
+  void wait_batch(Batch& batch);
+  [[nodiscard]] bool spin_allowed() const;
+  [[nodiscard]] obs::HandoffSnapshot handoff() const;
+  static void ring_doorbell(Shard& shard);
   static void answer_item(const WorkItem& item, Status status);
-  static void complete(Batch* batch);
+  static void complete(Shard& shard, const WorkItem& item);
 
   ServiceOptions options_;
   u32 nshards_ = 0;
@@ -346,6 +388,12 @@ class ShardServer {
   /// transport property, not a map property) and is merged into both
   /// snapshot() and live_snapshot().
   obs::PhaseAccum ring_phases_;
+  std::atomic<u64> client_parks_{0};
+  /// The oversubscription gate (spin_allowed): shard workers plus the
+  /// clients inside execute() must fit the CPU affinity mask, read once
+  /// at construction.
+  u32 cpus_ = 1;
+  alignas(kCachelineSize) std::atomic<u32> in_execute_{0};
 };
 
 }  // namespace gh::service

@@ -325,6 +325,26 @@ TEST(ExportPrometheus, PhaseCountersCarryOpAndPhaseLabels) {
   EXPECT_NE(prom.find("op=\"insert\",phase=\"migrate_help\""), std::string::npos);
 }
 
+TEST(ExportJson, HandoffCountersExportAndSum) {
+  Snapshot s = sample_snapshot();
+  s.handoff = HandoffSnapshot{100, 7, 5, 3};
+  const std::string json = export_json(s);
+  std::string error;
+  EXPECT_TRUE(validate_json(json, &error)) << error;
+  EXPECT_NE(json.find("\"handoff\":{\"round_trips\":100,\"worker_parks\":7,"
+                      "\"doorbell_wakes\":5,\"client_parks\":3}"),
+            std::string::npos)
+      << json;
+  const std::string prom = export_prometheus(s);
+  EXPECT_NE(prom.find("gh_handoff_worker_parks_total{source=\"TestMap\"} 7"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("gh_handoff_client_parks_total{source=\"TestMap\"} 3"), std::string::npos);
+  const Snapshot copy = s;
+  s.absorb(copy);
+  EXPECT_EQ(s.handoff.round_trips, 200u);
+  EXPECT_EQ(s.handoff.doorbell_wakes, 10u);
+}
+
 TEST(SnapshotAbsorb, PhasesSumButSharesAreInvariant) {
   Snapshot s = snapshot_with_phases();
   const Snapshot copy = s;

@@ -210,6 +210,14 @@ int main(int argc, char** argv) {
             << " load=" << format_double(snap.load_factor, 3)
             << " expansions=" << snap.lifecycle.expansions
             << " fences=" << snap.persist.fences << "\n";
+  const obs::HandoffSnapshot& h = snap.handoff;
+  const double rtts = h.round_trips ? static_cast<double>(h.round_trips) : 1.0;
+  std::cout << "handoff: round_trips=" << h.round_trips << " worker_parks/rtt="
+            << format_double(static_cast<double>(h.worker_parks) / rtts, 3)
+            << " doorbell_wakes/rtt="
+            << format_double(static_cast<double>(h.doorbell_wakes) / rtts, 3)
+            << " client_parks/rtt="
+            << format_double(static_cast<double>(h.client_parks) / rtts, 3) << "\n";
   for (const auto& b : snap.per_shard) {
     std::cout << "  shard" << b.shard << ": size=" << b.size
               << " expansions=" << b.expansions
