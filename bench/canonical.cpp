@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   const u64 nkeys = cli.get_u64("keys", smoke ? (1u << 14) : (1u << 20));
   const usize batch = static_cast<usize>(cli.get_u64("batch", 256));
   const u64 seed = 42;  // pinned: the trajectory only means something on fixed inputs
-  const std::string out_path = cli.get_or("out", "BENCH_PR13.json");
+  const std::string out_path = cli.get_or("out", "BENCH_PR14.json");
 
   BenchEnv env = BenchEnv::from_env();
   env.seed = seed;

@@ -1,5 +1,6 @@
 #include "core/group_hash_map.hpp"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
@@ -824,15 +825,22 @@ bool BasicGroupHashMap<Cell>::migrate_one_group(u64 g) {
   // only keys the target does not hold yet are moved.
   std::vector<std::optional<u64>> present(keys.size());
   mig_table_->find_batch(keys, present);
+  // Copy in target home order: the keys land in two target groups, and
+  // sorted they write each target cache line in one run, which the
+  // batch's flush coalescer then flushes once per fence.
+  std::vector<std::pair<u64, usize>> order;  // (target home index, key index)
+  order.reserve(keys.size());
+  for (usize i = 0; i < keys.size(); ++i) {
+    if (!present[i]) order.emplace_back(mig_table_->home_index(keys[i]), i);
+  }
+  std::sort(order.begin(), order.end());
   std::vector<key_type> move_keys;
   std::vector<u64> move_values;
-  move_keys.reserve(keys.size());
-  move_values.reserve(keys.size());
-  for (usize i = 0; i < keys.size(); ++i) {
-    if (!present[i]) {
-      move_keys.push_back(keys[i]);
-      move_values.push_back(values[i]);
-    }
+  move_keys.reserve(order.size());
+  move_values.reserve(order.size());
+  for (const auto& [home, i] : order) {
+    move_keys.push_back(keys[i]);
+    move_values.push_back(values[i]);
   }
   if (mig_table_->insert_batch(move_keys, move_values) < move_keys.size()) {
     // The double-sized target cannot place this group's keys

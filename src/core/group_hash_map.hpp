@@ -164,8 +164,8 @@ class BasicGroupHashMap {
   void get_batch(std::span<const key_type> keys, std::span<std::optional<u64>> out);
 
   /// Batched insert-or-update with coalesced persist fences (see
-  /// hash::GroupHashTable::upsert_batch): within a window, payload
-  /// flushes share one fence and commit flushes share another, so the
+  /// hash::GroupHashTable::upsert_batch): one batch call is one fence
+  /// window; payload flushes share one fence and commit flushes another, so the
   /// fence cost amortises across keys while each cell still commits with
   /// its own 8-byte atomic store. Keys are applied strictly in order;
   /// duplicate keys within the batch behave as sequential puts (last one

@@ -446,7 +446,7 @@ void PersistentStringMap::put_batch(std::span<const std::string_view> keys,
   for (usize i = 0; i < keys.size(); ++i) fps[i] = fingerprint(keys[i]);
   const u64 f = flight_begin(obs::OpKind::kInsert, fps[0].lo);
 
-  // Windowed two-phase protocol mirroring the table's: per window, one
+  // Two-phase protocol over windows of kWindow keys: per window, one
   // prefetching find_batch sweep splits keys into updates (in-place
   // 8-byte value overwrites, flushed now, fenced once) and news (records
   // appended now, cells inserted through the table's fence-coalesced
@@ -454,7 +454,8 @@ void PersistentStringMap::put_batch(std::span<const std::string_view> keys,
   // window updates that record in place — it is not yet reachable from
   // the table, so this is last-wins exactly like sequential puts;
   // duplicates across windows land on the committed cell via find_batch.
-  constexpr usize kWindow = Table::kBatchWindow;
+  // The window bounds the linear duplicate scan over `news`.
+  constexpr usize kWindow = 32;
   struct Pending {
     usize idx;   ///< index into keys (first occurrence)
     u64 offset;  ///< appended record

@@ -64,10 +64,12 @@
 #include "hash/table_stats.hpp"
 #include "hash/tag_probe.hpp"
 #include "hash/wal.hpp"
+#include "nvm/flush_coalescer.hpp"
 #include "nvm/media_error.hpp"
 #include "util/assert.hpp"
 #include "util/counters.hpp"
 #include "util/crc32c.hpp"
+#include "util/stamped_index.hpp"
 #include "util/types.hpp"
 
 namespace gh::hash {
@@ -226,32 +228,9 @@ class GroupHashTable {
     stats_.inserts++;
     if (wal_) wal_->begin();
     const u64 h = hash_(key);
-    const u64 k = h & mask_;
-    const u64 g = k / group_size_;
-    const u8 tag = tag_of_hash(h);
-    // The tag array knows where the empty cells are (tag 0) without
-    // touching PM: the level-1 slot is one byte, the level-2 scan is a
-    // SIMD sweep for 0 over the group's tags.
-    if (tags1_[k] == 0 && !is_quarantined(0, g)) {
-      Cell* c1 = probe(&tab1_[k]);
-      GH_DCHECK(!c1->occupied());
-      commit_insert(c1, key, value, tag);
+    if (Cell* c = free_cell_for(h & mask_)) {
+      commit_insert(c, key, value, tag_of_hash(h));
       return true;
-    }
-    if (!is_quarantined(1, g)) {
-      const u64 j = k - k % group_size_;
-      Cell* free_cell = nullptr;
-      for_each_tag_match(tags2_ + j, group_size_, /*tag=*/0, [&](u32 i) {
-        Cell* c2 = probe(&tab2_[j + i]);
-        stats_.level2_probes++;
-        GH_DCHECK(!c2->occupied());
-        free_cell = c2;
-        return true;
-      });
-      if (free_cell != nullptr) {
-        commit_insert(free_cell, key, value, tag);
-        return true;
-      }
     }
     stats_.insert_failures++;
     if (wal_) wal_->commit();
@@ -335,17 +314,17 @@ class GroupHashTable {
 
   // --- batched mutation (fence-coalesced) ----------------------------------
   //
-  // put/erase over a batch share persist fences across windows of
-  // kBatchWindow keys while keeping the per-cell 8-byte-commit discipline
-  // intact (see cells.hpp: the two-phase stage→fence→commit→fence /
-  // clear→fence→wipe→fence splits). Checksum deltas and the eager count
-  // are also coalesced to one store+fence per window; after a crash they
-  // are stale by at most a window, which recovery repairs the same way it
-  // repairs per-op staleness. Keys are applied strictly in order, so on
-  // a placement failure the return value is an exact prefix length — the
-  // map layer expands and resubmits the remainder.
-
-  static constexpr usize kBatchWindow = 32;
+  // put/erase over a batch run as ONE fence window per call while keeping
+  // the per-cell 8-byte-commit discipline intact (see cells.hpp: the
+  // two-phase stage→fence→commit→fence / clear→fence→wipe→fence splits).
+  // Every flush of the window goes through a call-local FlushCoalescer,
+  // so a cache line written by a run of nearby cells is flushed once per
+  // fence (a caller that sorts its keys by home_index() makes such runs).
+  // Checksum deltas and the eager count are coalesced to one store+fence
+  // per call; after a crash they are stale by at most one batch, which
+  // recovery repairs the same way it repairs per-op staleness. Keys are applied strictly in order, so on a
+  // placement failure the return value is an exact prefix length — the map
+  // layer expands and resubmits the remainder.
 
   /// Update-or-insert each (keys[i], values[i]). Returns the number of
   /// leading keys fully applied; < keys.size() means key [return] found
@@ -379,40 +358,35 @@ class GroupHashTable {
       }
       return erased;
     }
-    usize erased = 0;
-    std::array<Cell*, kBatchWindow> victims{};
-    std::array<u32, kBatchWindow> old_digests{};
-    CrcDeltaWindow deltas;
-    for (usize base = 0; base < keys.size(); base += kBatchWindow) {
-      const usize n = std::min(kBatchWindow, keys.size() - base);
-      usize nvictims = 0;
-      for (usize i = 0; i < n; ++i) {
-        stats_.erases++;
-        Cell* c = find_cell(keys[base + i]);
-        if (!hits.empty()) hits[base + i] = c != nullptr ? 1 : 0;
-        if (c == nullptr) continue;
-        // Phase 1: atomic commit-word clear + flush. The cleared word is
-        // immediately visible, so a duplicate key later in the window
-        // misses — sequential semantics.
-        old_digests[nvictims] = crc_ ? cell_digest(c) : 0;
-        c->retract_commit(*pm_);
-        tag_store(tag_slot(c), 0);
-        victims[nvictims++] = c;
-        stats_.erase_hits++;
-      }
-      if (nvictims == 0) continue;
-      pm_->fence();  // clears durable before any wipe store issues
-      for (usize v = 0; v < nvictims; ++v) victims[v]->retract_wipe(*pm_);
-      pm_->fence();
+    BatchScratch& scratch = batch_scratch();
+    scratch.begin();
+    nvm::FlushCoalescer<PM> pm(*pm_);
+    auto& victims = scratch.victims;
+    for (usize i = 0; i < keys.size(); ++i) {
+      stats_.erases++;
+      Cell* c = find_cell(keys[i]);
+      if (!hits.empty()) hits[i] = c != nullptr ? 1 : 0;
+      if (c == nullptr) continue;
+      // Phase 1: atomic commit-word clear. The cleared word is immediately
+      // visible, so a duplicate key later in the batch misses —
+      // sequential semantics.
+      const u32 old_digest = crc_ ? cell_digest(c) : 0;
+      c->retract_commit(pm);
+      tag_store(tag_slot(c), 0);
+      victims.push_back(Victim{c, old_digest});
+      stats_.erase_hits++;
+    }
+    const usize erased = victims.size();
+    if (erased > 0) {
+      pm.fence();  // clears durable before any wipe store issues
+      for (const Victim& v : victims) v.cell->retract_wipe(pm);
+      pm.fence();
       if (crc_) {
-        for (usize v = 0; v < nvictims; ++v) {
-          // Final cell content is all-zero (digest 0): delta = old digest.
-          deltas.add(crc_slot_of(victims[v]), old_digests[v]);
-        }
-        deltas.apply(*pm_);
+        // Final cell content is all-zero (digest 0): delta = old digest.
+        for (const Victim& v : victims) scratch.crc.add(crc_slot_of(v.cell), v.old_digest);
+        scratch.crc.apply(pm);
       }
-      bump_count(-static_cast<i64>(nvictims));
-      erased += nvictims;
+      bump_count(-static_cast<i64>(erased));
     }
     return erased;
   }
@@ -574,6 +548,9 @@ class GroupHashTable {
   [[nodiscard]] u64 level_cells() const { return level_cells_; }
   [[nodiscard]] u64 num_groups() const { return level_cells_ / group_size_; }
   [[nodiscard]] u64 seed() const { return header_->seed; }
+  /// Level-1 index `key` hashes to (its level-2 fallback is the same
+  /// group): batches sorted by it write each cache line in one run.
+  [[nodiscard]] u64 home_index(const key_type& key) const { return hash_(key) & mask_; }
   [[nodiscard]] bool checksums_enabled() const { return crc_ != nullptr; }
   /// Stored checksum word of (level 0/1, group) — inspection tooling.
   [[nodiscard]] u64 group_checksum(u32 level, u64 g) const {
@@ -788,36 +765,101 @@ class GroupHashTable {
 
   // --- batched-mutation machinery ------------------------------------------
 
-  /// Per-window accumulator of group-checksum deltas: XORs of per-cell
-  /// digest changes, folded per slot and applied with one store+flush
-  /// each and a single fence.
-  struct CrcDeltaWindow {
-    std::array<u64*, 2 * kBatchWindow> slots{};
-    std::array<u64, 2 * kBatchWindow> deltas{};
-    usize n = 0;
+  /// Group-checksum deltas of one batch call: XORs of per-cell digest
+  /// changes, folded per checksum word and grouped by cache line (O(1) per
+  /// add), then applied with one store per touched word, one flush per
+  /// line and a single fence — each checksum line once, in whatever order
+  /// the batch touched its groups.
+  struct CrcDeltas {
+    static constexpr usize kWordsPerLine = kCachelineSize / sizeof(u64);
+    struct Line {
+      u64* first;  ///< first word of the cache line
+      std::array<u64, kWordsPerLine> delta;
+      u8 touched;  ///< bit w set: word w received a delta
+    };
+    StampedIndex index;  ///< line number → position in `lines`
+    std::vector<Line> lines;
+
+    void clear() {
+      index.clear();
+      lines.clear();
+    }
 
     void add(u64* slot, u64 delta) {
-      for (usize i = 0; i < n; ++i) {
-        if (slots[i] == slot) {
-          deltas[i] ^= delta;
-          return;
-        }
+      const auto addr = reinterpret_cast<std::uintptr_t>(slot);
+      bool inserted = false;
+      const u32 pos = index.find_or_insert(addr / kCachelineSize,
+                                           static_cast<u32>(lines.size()), inserted);
+      if (inserted) {
+        lines.push_back(Line{reinterpret_cast<u64*>(addr - addr % kCachelineSize), {}, 0});
       }
-      slots[n] = slot;
-      deltas[n] = delta;
-      n++;
+      const usize w = addr % kCachelineSize / sizeof(u64);
+      lines[pos].delta[w] ^= delta;
+      lines[pos].touched = static_cast<u8>(lines[pos].touched | (1u << w));
     }
 
-    void apply(PM& pm) {
-      if (n == 0) return;
-      for (usize i = 0; i < n; ++i) {
-        pm.atomic_store_u64(slots[i], *slots[i] ^ deltas[i]);
-        pm.flush(slots[i], sizeof(u64));
+    template <class AnyPM>
+    void apply(AnyPM& pm) {
+      if (lines.empty()) return;
+      for (const Line& l : lines) {
+        for (usize w = 0; w < kWordsPerLine; ++w) {
+          if ((l.touched >> w & 1u) == 0) continue;
+          pm.atomic_store_u64(l.first + w, l.first[w] ^ l.delta[w]);
+        }
+        pm.flush(l.first, kCachelineSize);
       }
       pm.fence();
-      n = 0;
     }
   };
+
+  struct Staged {
+    Cell* cell;
+    key_type key;
+    u32 old_digest;
+  };
+  struct Victim {
+    Cell* cell;
+    u32 old_digest;
+  };
+
+  /// Scratch of the batched mutation paths, one per thread and reused
+  /// across calls: once warm, a call neither allocates nor zeroes. Thread-
+  /// local rather than per table because the striped concurrent table
+  /// runs several writers on one table.
+  struct BatchScratch {
+    std::vector<Staged> staged;
+    StampedIndex staged_by_hash;  ///< key hash → position in `staged`
+    std::vector<Victim> victims;
+    CrcDeltas crc;
+
+    void begin() {
+      staged.clear();
+      staged_by_hash.clear();
+      victims.clear();
+      crc.clear();
+    }
+  };
+
+  static BatchScratch& batch_scratch() {
+    thread_local BatchScratch scratch;
+    return scratch;
+  }
+
+  /// Stage-index value of a hash no staged cell carries yet.
+  static constexpr u32 kUnstaged = ~u32{0};
+
+  /// The staged cell holding `key`, or nullptr. `pos` is the stage-index
+  /// entry of the key's hash `h`: kUnstaged until a cell of that hash is
+  /// staged, which then records its position there. Two keys sharing a
+  /// 64-bit hash fall back to scanning the stage list.
+  static Staged* find_staged(BatchScratch& scratch, const key_type& key, u32 pos) {
+    if (pos == kUnstaged) return nullptr;
+    if (scratch.staged[pos].key == key) return &scratch.staged[pos];
+    for (Staged& st : scratch.staged) {
+      if (st.key == key) return &st;
+    }
+    return nullptr;
+  }
 
   [[nodiscard]] u64* crc_slot_of(const Cell* c) const {
     const u64 gi = global_index(c);
@@ -825,17 +867,45 @@ class GroupHashTable {
     return crc_slot(level, (gi % level_cells_) / group_size_);
   }
 
-  /// The shared core of upsert_batch/insert_batch. Processes keys in
-  /// windows; within a window:
+  /// Where an insert at level-1 index `k` lands: the level-1 cell when
+  /// empty, else the first empty cell of the matched level-2 group;
+  /// nullptr when both are full. The tag array knows where the empty cells
+  /// are (tag 0) without touching PM: the level-1 slot is one byte, the
+  /// level-2 scan a SIMD sweep for 0 over the group's tags. Quarantined
+  /// groups accept no new cells.
+  Cell* free_cell_for(u64 k) {
+    const u64 g = k / group_size_;
+    if (tags1_[k] == 0 && !is_quarantined(0, g)) {
+      Cell* c1 = probe(&tab1_[k]);
+      GH_DCHECK(!c1->occupied());
+      return c1;
+    }
+    if (is_quarantined(1, g)) return nullptr;
+    const u64 j = k - k % group_size_;
+    Cell* free_cell = nullptr;
+    for_each_tag_match(tags2_ + j, group_size_, /*tag=*/0, [&](u32 i) {
+      Cell* c2 = probe(&tab2_[j + i]);
+      stats_.level2_probes++;
+      GH_DCHECK(!c2->occupied());
+      free_cell = c2;
+      return true;
+    });
+    return free_cell;
+  }
+
+  /// The shared core of upsert_batch/insert_batch: one fence window for
+  /// the whole call.
   ///   phase 1 — updates and payload staging (stores + flushes, commit
   ///             words untouched, so staged cells are invisible to finds)
   ///   fence   — staged payloads + in-place updates durable
   ///   phase 2 — atomic commit words + flushes
   ///   fence   — commits durable
-  ///   tail    — coalesced checksum deltas (store+flush each, one fence)
-  ///             and ONE count bump for the window
-  /// Any commit word that reaches media implies the phase-1 fence
-  /// retired, so the per-cell crash discipline is exactly publish()'s.
+  ///   tail    — ONE count bump, then the folded checksum deltas
+  ///             (store+flush each, one fence)
+  /// Flushes go through a FlushCoalescer, which flushes a line written
+  /// by a run of nearby cells once per fence. Any commit word that reaches media implies the
+  /// phase-1 fence retired, so the per-cell crash discipline is exactly
+  /// publish()'s.
   template <bool kCheckExisting>
   usize put_batch_impl(std::span<const key_type> keys, std::span<const u64> values) {
     GH_CHECK(values.size() >= keys.size());
@@ -848,102 +918,63 @@ class GroupHashTable {
       }
       return keys.size();
     }
-    struct Staged {
-      Cell* cell;
-      key_type key;
-      u8 tag;
-      u32 old_digest;
-    };
-    std::array<Staged, kBatchWindow> staged{};
-    CrcDeltaWindow deltas;
-    usize done = 0;
-    while (done < keys.size()) {
-      const usize n = std::min(kBatchWindow, keys.size() - done);
-      usize nstaged = 0;
-      usize updates = 0;
-      usize consumed = 0;  // leading keys of this window fully handled
-      bool full = false;
-      for (usize i = 0; i < n; ++i) {
-        const key_type key = keys[done + i];
-        const u64 value = values[done + i];
-        const u64 h = hash_(key);
-        const u64 k = h & mask_;
-        const u8 tag = tag_of_hash(h);
-        // Duplicate of a cell staged in this window? Its commit word is
-        // still unset (invisible to find_cell), so check the stage list.
-        Staged* dup = nullptr;
-        for (usize s = 0; s < nstaged; ++s) {
-          if (staged[s].key == key) {
-            dup = &staged[s];
-            break;
-          }
-        }
-        if (dup != nullptr) {
-          dup->cell->stage_value(*pm_, value);
-          consumed++;
+    BatchScratch& scratch = batch_scratch();
+    scratch.begin();
+    nvm::FlushCoalescer<PM> pm(*pm_);
+    auto& staged = scratch.staged;
+    usize updates = 0;
+    usize done = 0;  // leading keys fully handled
+    for (; done < keys.size(); ++done) {
+      const key_type key = keys[done];
+      const u64 value = values[done];
+      const u64 h = hash_(key);
+      // Duplicate of a cell staged earlier in this call? Its commit word
+      // is still unset (invisible to find_cell), so ask the stage index.
+      bool fresh_hash = false;
+      u32& pos = scratch.staged_by_hash.find_or_insert(h, kUnstaged, fresh_hash);
+      if (Staged* dup = find_staged(scratch, key, pos)) {
+        dup->cell->stage_value(pm, value);
+        continue;
+      }
+      if (kCheckExisting) {
+        if (Cell* c = find_cell_at(key, h)) {
+          // In-place update, fence deferred to the window. The delta is
+          // computed now — the cell content is already final.
+          const u32 old_digest = crc_ ? cell_digest(c) : 0;
+          pm.atomic_store_u64(&c->value, value);
+          pm.flush(&c->value, sizeof(u64));
+          if (crc_) scratch.crc.add(crc_slot_of(c), old_digest ^ cell_digest(c));
+          updates++;
           continue;
         }
-        if (kCheckExisting) {
-          if (Cell* c = find_cell_at(key, h)) {
-            // In-place update, fence deferred to the window tail. The
-            // delta is computed now — the cell content is already final.
-            const u32 old_digest = crc_ ? cell_digest(c) : 0;
-            pm_->atomic_store_u64(&c->value, value);
-            pm_->flush(&c->value, sizeof(u64));
-            if (crc_) deltas.add(crc_slot_of(c), old_digest ^ cell_digest(c));
-            updates++;
-            consumed++;
-            continue;
-          }
-        }
-        stats_.inserts++;
-        const u64 g = k / group_size_;
-        Cell* target = nullptr;
-        if (tags1_[k] == 0 && !is_quarantined(0, g)) {
-          target = probe(&tab1_[k]);
-          GH_DCHECK(!target->occupied());
-        } else if (!is_quarantined(1, g)) {
-          const u64 j = k - k % group_size_;
-          for_each_tag_match(tags2_ + j, group_size_, /*tag=*/0, [&](u32 idx) {
-            Cell* c2 = probe(&tab2_[j + idx]);
-            stats_.level2_probes++;
-            GH_DCHECK(!c2->occupied());
-            target = c2;
-            return true;
-          });
-        }
-        if (target == nullptr) {
-          stats_.insert_failures++;
-          full = true;
-          break;
-        }
-        const u32 old_digest = crc_ ? cell_digest(target) : 0;
-        target->stage_payload(*pm_, key, value);
-        // Set the tag NOW so this window's later empty-slot scans skip
-        // the staged cell (its commit word still reads unoccupied).
-        tag_store(tag_slot(target), tag);
-        staged[nstaged++] = Staged{target, key, tag, old_digest};
-        consumed++;
       }
-      // Window tail: finalize everything staged, even on a full stop.
-      if (updates + nstaged > 0) pm_->fence();  // phase-1 stores durable
-      if (nstaged > 0) {
-        for (usize s = 0; s < nstaged; ++s) {
-          staged[s].cell->commit_staged(*pm_, staged[s].key);
-        }
-        pm_->fence();  // commit words durable
-        if (crc_) {
-          for (usize s = 0; s < nstaged; ++s) {
-            deltas.add(crc_slot_of(staged[s].cell),
-                       staged[s].old_digest ^ cell_digest(staged[s].cell));
-          }
-        }
-        bump_count(+static_cast<i64>(nstaged));
+      stats_.inserts++;
+      Cell* target = free_cell_for(h & mask_);
+      if (target == nullptr) {
+        stats_.insert_failures++;
+        break;
       }
-      if (crc_) deltas.apply(*pm_);
-      done += consumed;
-      if (full) break;
+      const u32 old_digest = crc_ ? cell_digest(target) : 0;
+      target->stage_payload(pm, key, value);
+      // Set the tag NOW so this call's later empty-slot scans skip the
+      // staged cell (its commit word still reads unoccupied).
+      tag_store(tag_slot(target), tag_of_hash(h));
+      if (pos == kUnstaged) pos = static_cast<u32>(staged.size());
+      staged.push_back(Staged{target, key, old_digest});
     }
+    // Window tail: finalize everything staged, even on a full stop.
+    if (updates + staged.size() > 0) pm.fence();  // phase-1 stores durable
+    if (!staged.empty()) {
+      for (const Staged& st : staged) st.cell->commit_staged(pm, st.key);
+      pm.fence();  // commit words durable
+      if (crc_) {
+        for (const Staged& st : staged) {
+          scratch.crc.add(crc_slot_of(st.cell), st.old_digest ^ cell_digest(st.cell));
+        }
+      }
+      bump_count(+static_cast<i64>(staged.size()));
+    }
+    if (crc_) scratch.crc.apply(pm);
     return done;
   }
 
@@ -972,9 +1003,7 @@ class GroupHashTable {
   /// value, and a crash between cell commit and checksum store only
   /// leaves the checksum stale — recovery rebuilds all of them.
   void apply_digest_delta(const Cell* c, u32 old_digest) {
-    const u64 gi = global_index(c);
-    const u32 level = gi < level_cells_ ? 0 : 1;
-    u64* slot = crc_slot(level, (gi % level_cells_) / group_size_);
+    u64* slot = crc_slot_of(c);
     pm_->atomic_store_u64(slot, *slot ^ old_digest ^ cell_digest(c));
     pm_->persist(slot, sizeof(u64));
   }

@@ -75,9 +75,11 @@ TEST(Batch, GetBatchMatchesScalarGet) {
 
 TEST(Batch, PutBatchDuplicateKeysLastWins) {
   auto map = GroupHashMap::create_in_memory({.initial_cells = 1 << 10});
-  // 100 writes to 3 keys in one batch — crosses the 32-key fence window,
-  // so dups hit both the staged-in-window path and the committed-in-an-
-  // earlier-window (update) path.
+  // 100 writes to 3 keys in one batch, which is one fence window. Key 2 is
+  // committed beforehand, so its writes take the in-place update path;
+  // keys 1 and 3 are new, so their later writes re-stage the cell their
+  // first write staged.
+  map.put(2, 1);
   std::vector<u64> keys, values;
   for (u64 i = 0; i < 100; ++i) {
     keys.push_back(1 + (i % 3));
@@ -751,8 +753,8 @@ class TagCrash : public ::testing::Test {
       keys.push_back(i * 0x9e3779b97f4a7c15ull >> 1 | 1);
       values.push_back(i);
     }
-    // Scalar warm-up, then batched upsert (covers both windows of 32),
-    // scalar + batched erase, and batched re-insert over the holes.
+    // Scalar warm-up, then one batched upsert of 32 keys (one fence
+    // window), scalar + batched erase, and batched re-insert over the holes.
     for (usize i = 0; i < 8; ++i) t.insert(keys[i], values[i]);
     t.upsert_batch(std::span(keys).subspan(8), std::span(values).subspan(8));
     t.erase(keys[0]);
