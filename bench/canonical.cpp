@@ -16,6 +16,8 @@
 //   recovery                                  — Algorithm 4 wall time
 //   service_ycsbc                             — sharded front-end QPS, p99,
 //                                               batched-vs-naive ingest ratio
+//                                               (each service leg: median of
+//                                               kServiceRuns runs)
 //
 // --smoke shrinks everything for the CI fast lane (numbers still emitted,
 // ratios still sane); --out=<path> overrides the JSON destination.
@@ -23,6 +25,7 @@
 #include <chrono>
 #include <fstream>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/concurrent_map.hpp"
@@ -36,6 +39,12 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const gh::usize n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
 
 double ns_per_op(Clock::time_point t0, Clock::time_point t1, gh::u64 ops) {
   return static_cast<double>(
@@ -60,7 +69,7 @@ int main(int argc, char** argv) {
   const u64 nkeys = cli.get_u64("keys", smoke ? (1u << 14) : (1u << 20));
   const usize batch = static_cast<usize>(cli.get_u64("batch", 256));
   const u64 seed = 42;  // pinned: the trajectory only means something on fixed inputs
-  const std::string out_path = cli.get_or("out", "BENCH_PR14.json");
+  const std::string out_path = cli.get_or("out", "BENCH_PR15.json");
 
   BenchEnv env = BenchEnv::from_env();
   env.seed = seed;
@@ -301,35 +310,53 @@ int main(int argc, char** argv) {
       server.stop();
       return r;
     };
-    const service::DriverReport batched = run_service(false);
-    const service::DriverReport naive = run_service(true);
-    metrics.push_back({"service_ycsbc_qps", batched.qps, "higher"});
-    metrics.push_back({"service_ycsbc_get_p99_ns", batched.latency.find.p99_ns});
+    // Forced mid-run resize: same driver, YCSB-B, but shards start 64
+    // cells deep with online resize on — every shard migrates several
+    // times while serving. The pinned p99 is the tail clients actually
+    // see during a resize, the number the tentpole exists to protect.
+    const auto run_resize = [&] {
+      service::ServiceOptions ropts = sopts;
+      ropts.naive = false;
+      ropts.map_options.initial_cells = 64;
+      ropts.map_options.online_resize = true;
+      service::DriverOptions rdopts = dopts;
+      rdopts.mix = service::mix_for("b");
+      service::ShardServer server(ropts);
+      const service::DriverReport r = service::run_ycsb(server, rdopts);
+      server.stop();
+      GH_CHECK(server.snapshot().migration.started > 0);  // the run must actually resize
+      return r;
+    };
+
+    // One run of 4 shard workers + 4 clients on a shared 4-vCPU host is
+    // too noisy to gate at 10%: the same binary's service QPS moved by a
+    // third between runs. Each leg therefore runs kServiceRuns times, in
+    // interleaved rounds, and reports its median.
+    constexpr int kServiceRuns = 5;
+    std::vector<double> ycsbc_qps, ycsbc_p99, naive_qps, resize_qps, resize_p99;
+    for (int run = 0; run < kServiceRuns; ++run) {
+      const service::DriverReport batched = run_service(false);
+      ycsbc_qps.push_back(batched.qps);
+      ycsbc_p99.push_back(batched.latency.find.p99_ns);
+      naive_qps.push_back(run_service(true).qps);
+      const service::DriverReport under_resize = run_resize();
+      resize_qps.push_back(under_resize.qps);
+      resize_p99.push_back(under_resize.latency.find.p99_ns);
+    }
+    metrics.push_back({"service_ycsbc_qps", median(ycsbc_qps), "higher"});
+    metrics.push_back({"service_ycsbc_get_p99_ns", median(ycsbc_p99)});
     // The batched/naive speedup is printed for context but no longer
     // pinned: an A/B of identical binaries across box states moved the
     // ratio well past the gate threshold (the two service runs schedule
     // independently, and a ratio cannot be rescaled by the serial
     // calibration loop). Pinning the naive QPS absolutely keeps the
     // same regression coverage — both legs gate, both rescale.
-    metrics.push_back({"service_naive_qps", naive.qps, "higher"});
-    std::cout << "service batched/naive speedup: "
-              << format_double(naive.qps > 0 ? batched.qps / naive.qps : 0, 2) << "x\n";
-
-    // Forced mid-run resize: same driver, YCSB-B, but shards start 64
-    // cells deep with online resize on — every shard migrates several
-    // times while serving. The pinned p99 is the tail clients actually
-    // see during a resize, the number the tentpole exists to protect.
-    sopts.naive = false;
-    sopts.map_options.initial_cells = 64;
-    sopts.map_options.online_resize = true;
-    dopts.mix = service::mix_for("b");
-    service::ShardServer resize_server(sopts);
-    const service::DriverReport under_resize = service::run_ycsb(resize_server, dopts);
-    resize_server.stop();
-    const obs::Snapshot resize_snap = resize_server.snapshot();
-    GH_CHECK(resize_snap.migration.started > 0);  // the run must actually resize
-    metrics.push_back({"service_resize_ycsbb_qps", under_resize.qps, "higher"});
-    metrics.push_back({"service_resize_ycsbb_get_p99_ns", under_resize.latency.find.p99_ns});
+    metrics.push_back({"service_naive_qps", median(naive_qps), "higher"});
+    std::cout << "service batched/naive speedup (medians): "
+              << format_double(median(naive_qps) > 0 ? median(ycsbc_qps) / median(naive_qps) : 0, 2)
+              << "x\n";
+    metrics.push_back({"service_resize_ycsbb_qps", median(resize_qps), "higher"});
+    metrics.push_back({"service_resize_ycsbb_get_p99_ns", median(resize_p99)});
   }
 
   // --- report ---

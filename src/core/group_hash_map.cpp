@@ -271,14 +271,18 @@ void BasicGroupHashMap<Cell>::mark_state(u64 state) {
 template <class Cell>
 void BasicGroupHashMap<Cell>::close() {
   if (!region_.valid() || closed_) return;
+  // Checksum words are stored but never flushed while the image is dirty
+  // (hash/group_hashing.hpp); a clean mark promises they are durable.
   if (mig_table_) {
     // Clean shutdown mid-migration keeps the split image: both files
     // marked clean, cursor armed — the next open() resumes the drain.
+    mig_table_->persist_checksums();
     auto* msb = reinterpret_cast<Superblock*>(mig_region_.data());
     pm_->atomic_store_u64(&msb->state, kStateClean);
     pm_->persist(&msb->state, sizeof(u64));
     mig_region_.sync();
   }
+  if (table_) table_->persist_checksums();  // absent when open() threw early
   mark_state(kStateClean);
   region_.sync();
   if (flight_region_.valid() && flight_region_.file_backed()) flight_region_.sync();
@@ -842,7 +846,8 @@ bool BasicGroupHashMap<Cell>::migrate_one_group(u64 g) {
     move_keys.push_back(keys[i]);
     move_values.push_back(values[i]);
   }
-  if (mig_table_->insert_batch(move_keys, move_values) < move_keys.size()) {
+  if (mig_table_->insert_batch(move_keys, move_values, nvm::Locality::kRuns) <
+      move_keys.size()) {
     // The double-sized target cannot place this group's keys
     // (pathological grouping). The copied-but-not-erased prefix is a
     // benign duplicate set: new-first reads mask it and the emergency
@@ -850,7 +855,8 @@ bool BasicGroupHashMap<Cell>::migrate_one_group(u64 g) {
     return false;
   }
   nvm::crash_point("migrate.group.copied");
-  table().erase_batch(keys, {});
+  // Cell order: the erase walks the group's level-1 and level-2 lines.
+  table().erase_batch(keys, {}, nvm::Locality::kRuns);
   nvm::crash_point("migrate.group.erased");
   keys_migrated_ += keys.size();
   return true;
@@ -1104,19 +1110,8 @@ bool BasicGroupHashMap<Cell>::debug_verify_tags() const {
 
 template <class Cell>
 bool BasicGroupHashMap<Cell>::debug_verify_group_checksums() const {
-  const auto verify = [](const Table& t) {
-    if (!t.checksums_enabled()) return true;
-    for (u64 g = 0; g < t.num_groups(); ++g) {
-      for (u32 level = 0; level < 2; ++level) {
-        if (!t.group_quarantined(level, g) && !t.verify_group_checksum(level, g)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  if (table_ && !verify(table())) return false;
-  return !mig_table_ || verify(*mig_table_);
+  if (table_ && table().checksum_mismatches() != 0) return false;
+  return !mig_table_ || mig_table_->checksum_mismatches() == 0;
 }
 
 template class BasicGroupHashMap<hash::Cell16>;

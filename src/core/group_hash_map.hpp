@@ -61,9 +61,10 @@ struct MapOptions {
   bool retain_retired_regions = false;
   /// Maintain per-group CRC32C checksums in the table (and a checksummed
   /// superblock), so at-rest corruption is detected instead of served.
-  /// Costs one extra 8-byte flush per mutation; bench/ablation_integrity
-  /// measures it. The setting is baked into the file at create() time —
-  /// open() follows whatever the image says.
+  /// Costs one extra 8-byte store per mutation, flushed only when close()
+  /// persists the checksum array; bench/ablation_integrity measures it.
+  /// The setting is baked into the file at create() time — open()
+  /// follows whatever the image says.
   bool checksum_groups = true;
   /// Verify every group checksum when open()ing a cleanly closed map.
   /// Groups that fail are quarantined and their cells reported through
@@ -293,8 +294,9 @@ class BasicGroupHashMap {
   [[nodiscard]] const hash::ScrubReport& open_scrub_report() const { return open_scrub_; }
   [[nodiscard]] bool corruption_detected_on_open() const { return !open_scrub_.clean(); }
 
-  /// Mark the map clean and sync it. Called by the destructor; calling it
-  /// explicitly makes shutdown errors observable.
+  /// Persist the group checksums, mark the map clean and sync it. Called
+  /// by the destructor; calling it explicitly makes shutdown errors
+  /// observable.
   void close();
 
   /// Test hook: drop the mapping WITHOUT marking the map clean, exactly

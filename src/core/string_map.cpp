@@ -262,6 +262,9 @@ void PersistentStringMap::mark_state(u64 state) {
 
 void PersistentStringMap::close() {
   if (!region_.valid() || closed_) return;
+  // The clean mark promises durable checksum words, which mutations store
+  // without flushing (hash/group_hashing.hpp).
+  if (table_) table_->persist_checksums();  // absent when open() threw early
   mark_state(kStateClean);
   region_.sync();
   if (flight_region_.valid() && flight_region_.file_backed()) flight_region_.sync();

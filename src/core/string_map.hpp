@@ -153,6 +153,10 @@ class PersistentStringMap {
   /// Test hook: full-rescan check of the index table's fingerprint-tag
   /// invariant (see hash::GroupHashTable::verify_tags).
   [[nodiscard]] bool debug_verify_tags() const { return table().verify_tags(); }
+  /// Test hook: re-derive every group checksum of the index table.
+  [[nodiscard]] bool debug_verify_group_checksums() const {
+    return table().checksum_mismatches() == 0;
+  }
   /// DEPRECATED: thin alias over the same counters snapshot() reads; kept
   /// for one release. Safe (returns zeros) after abandon().
   [[nodiscard]] StringMapStats stats() const;

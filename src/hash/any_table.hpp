@@ -121,6 +121,12 @@ class AnyTable {
   virtual ScrubReport scrub(u64 max_groups,
                             const std::function<void(const LostCell&)>& on_loss) = 0;
   ScrubReport scrub(u64 max_groups = ~u64{0}) { return scrub(max_groups, {}); }
+  /// Make the per-group checksum words durable (GroupHashTable::
+  /// persist_checksums: mutations store them without flushing). No-op for
+  /// schemes without checksums.
+  virtual void persist_checksums() {}
+  /// The checksum array persist_checksums() flushes; empty when none.
+  [[nodiscard]] virtual std::span<const u64> checksum_words() const { return {}; }
   [[nodiscard]] virtual u64 count() const = 0;
   [[nodiscard]] virtual u64 capacity() const = 0;
   [[nodiscard]] virtual TableStats& stats() = 0;

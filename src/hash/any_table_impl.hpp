@@ -171,6 +171,17 @@ class TableAdapter final : public AnyTable<PM> {
     return report;
   }
 
+  void persist_checksums() override {
+    if constexpr (requires(Table& t) { t.persist_checksums(); }) table_.persist_checksums();
+  }
+  std::span<const u64> checksum_words() const override {
+    if constexpr (requires(const Table& t) { t.checksum_words(); }) {
+      return table_.checksum_words();
+    } else {
+      return {};
+    }
+  }
+
   ScrubReport scrub_impl(u64 max_groups,
                          const std::function<void(const LostCell&)>& on_loss) {
     // Same optional-feature pattern as attach_wal: schemes without

@@ -33,10 +33,13 @@
 // cell's global index (so two cells swapping contents is detected).
 // XOR-of-digests makes maintenance O(cell) per mutation: XOR out the old
 // digest, XOR in the new one, 8-byte atomic store of the checksum word.
-// The checksum update is NOT failure-atomic with the cell commit — after
-// a crash the checksums of in-flight groups are legitimately stale, which
-// is why recover()/recover_slice() REBUILD them while clean-state opens
-// and scrub passes VERIFY them.
+// The checksum update is NOT failure-atomic with the cell commit, and no
+// mutation flushes it: the words are durable only after
+// persist_checksums(), which the map owners call once, just before they
+// mark the image clean. Across a restart only an open after a clean close
+// reads them (it VERIFIES them); every other open is a dirty one, whose
+// recover()/recover_slice() REBUILDS them from the cells. Scrub passes
+// verify the running table's (cache-coherent) words.
 //
 // scrub_groups() is the incremental verification pass: it re-derives a
 // window of group checksums, quarantines groups that fail (or whose reads
@@ -57,6 +60,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "hash/cells.hpp"
@@ -117,7 +121,8 @@ class GroupHashTable {
     bool zero_memory = false;
     CountMode count_mode = CountMode::kEager;
     /// Maintain per-group checksums (see file comment). Adds one 8-byte
-    /// atomic store + flush per mutation and 16 bytes per group of space.
+    /// atomic store per mutation (flushed only by persist_checksums())
+    /// and 16 bytes per group of space.
     bool group_crc = false;
   };
 
@@ -317,35 +322,40 @@ class GroupHashTable {
   // put/erase over a batch run as ONE fence window per call while keeping
   // the per-cell 8-byte-commit discipline intact (see cells.hpp: the
   // two-phase stage→fence→commit→fence / clear→fence→wipe→fence splits).
-  // Every flush of the window goes through a call-local FlushCoalescer,
-  // so a cache line written by a run of nearby cells is flushed once per
-  // fence (a caller that sorts its keys by home_index() makes such runs).
-  // Checksum deltas and the eager count are coalesced to one store+fence
-  // per call; after a crash they are stale by at most one batch, which
-  // recovery repairs the same way it repairs per-op staleness. Keys are applied strictly in order, so on a
-  // placement failure the return value is an exact prefix length — the map
-  // layer expands and resubmits the remainder.
+  // Every flush of the window goes through a call-local FlushCoalescer:
+  // a caller that passes Locality::kRuns (keys sorted by home_index(), or
+  // cells in address order) gets a line written by a run of nearby cells
+  // flushed once per fence; any other batch flushes each line at once.
+  // Checksum deltas are folded to one store per touched word (never
+  // flushed — see persist_checksums()) and the eager count to one
+  // persisted store per call; recovery repairs both after a crash. Keys
+  // are applied strictly in order, so on a placement failure the return
+  // value is an exact prefix length — the map layer expands and resubmits
+  // the remainder.
 
   /// Update-or-insert each (keys[i], values[i]). Returns the number of
   /// leading keys fully applied; < keys.size() means key [return] found
   /// both its level-1 cell and level-2 group full (or quarantined).
-  usize upsert_batch(std::span<const key_type> keys, std::span<const u64> values) {
-    return put_batch_impl<true>(keys, values);
+  usize upsert_batch(std::span<const key_type> keys, std::span<const u64> values,
+                     nvm::Locality locality = nvm::Locality::kScattered) {
+    return put_batch_impl<true>(keys, values, locality);
   }
 
   /// Pure batched insert (precondition: keys not already present —
   /// duplicates *within* the batch are allowed and coalesce to the last
   /// value, matching sequential insert-or-update semantics at the map
   /// layer). Skips the existing-key lookup upsert_batch does.
-  usize insert_batch(std::span<const key_type> keys, std::span<const u64> values) {
-    return put_batch_impl<false>(keys, values);
+  usize insert_batch(std::span<const key_type> keys, std::span<const u64> values,
+                     nvm::Locality locality = nvm::Locality::kScattered) {
+    return put_batch_impl<false>(keys, values, locality);
   }
 
   /// Batched erase. hits[i] (when a buffer is supplied) is 1 if keys[i]
   /// was present. Returns the number of keys erased. Duplicate keys in
   /// one batch behave sequentially: the first occurrence erases, the
   /// rest miss.
-  usize erase_batch(std::span<const key_type> keys, std::span<u8> hits) {
+  usize erase_batch(std::span<const key_type> keys, std::span<u8> hits,
+                    nvm::Locality locality = nvm::Locality::kScattered) {
     GH_CHECK(hits.empty() || hits.size() >= keys.size());
     stats_.batch_ops++;
     stats_.batch_keys += keys.size();
@@ -360,7 +370,7 @@ class GroupHashTable {
     }
     BatchScratch& scratch = batch_scratch();
     scratch.begin();
-    nvm::FlushCoalescer<PM> pm(*pm_);
+    nvm::FlushCoalescer<PM> pm(*pm_, locality);
     auto& victims = scratch.victims;
     for (usize i = 0; i < keys.size(); ++i) {
       stats_.erases++;
@@ -396,8 +406,8 @@ class GroupHashTable {
   /// a committed delete) and recomputes `count`. A poisoned cell is
   /// scrubbed too (the stores heal/remap the line) and its contents
   /// counted as lost — recovery completes instead of aborting the open.
-  /// When checksums are enabled they are REBUILT afterwards: in-flight
-  /// operations legitimately leave them stale across a crash.
+  /// When checksums are enabled they are REBUILT afterwards (stored, not
+  /// flushed): a dirty image's checksum words are stale.
   RecoveryReport recover() {
     RecoveryReport report;
     if (wal_) report.wal_records_rolled_back = wal_->recover();
@@ -552,6 +562,18 @@ class GroupHashTable {
   /// group): batches sorted by it write each cache line in one run.
   [[nodiscard]] u64 home_index(const key_type& key) const { return hash_(key) & mask_; }
   [[nodiscard]] bool checksums_enabled() const { return crc_ != nullptr; }
+  /// The checksum array ([level 1 groups][level 2 groups]); empty when
+  /// checksums are off.
+  [[nodiscard]] std::span<const u64> checksum_words() const {
+    return crc_ ? std::span<const u64>(crc_, 2 * num_groups()) : std::span<const u64>{};
+  }
+  /// Make every checksum word durable: flush the whole array, then one
+  /// fence. Mutations, recovery and scrub store checksum words without
+  /// flushing them, so an owner calls this before it marks the image
+  /// clean — the only state in which a later open trusts the words.
+  void persist_checksums() {
+    if (crc_) pm_->persist(crc_, 2 * num_groups() * sizeof(u64));
+  }
   /// Stored checksum word of (level 0/1, group) — inspection tooling.
   [[nodiscard]] u64 group_checksum(u32 level, u64 g) const {
     GH_DCHECK(crc_ != nullptr && level < 2 && g < num_groups());
@@ -566,6 +588,17 @@ class GroupHashTable {
     u64 digest = 0;
     for (u32 i = 0; i < group_size_; ++i) digest ^= cell_digest(base + i);
     return digest == crc_[level * num_groups() + g];
+  }
+  /// (level, group) pairs, quarantined ones excepted, whose stored
+  /// checksum disagrees with their cells (test hooks).
+  [[nodiscard]] u64 checksum_mismatches() const {
+    u64 n = 0;
+    for (u64 g = 0; crc_ != nullptr && g < num_groups(); ++g) {
+      for (u32 level = 0; level < 2; ++level) {
+        n += !is_quarantined(level, g) && !verify_group_checksum(level, g) ? 1 : 0;
+      }
+    }
+    return n;
   }
   /// Number of (level, group) pairs currently quarantined.
   [[nodiscard]] u64 quarantined_groups() const {
@@ -766,49 +799,29 @@ class GroupHashTable {
   // --- batched-mutation machinery ------------------------------------------
 
   /// Group-checksum deltas of one batch call: XORs of per-cell digest
-  /// changes, folded per checksum word and grouped by cache line (O(1) per
-  /// add), then applied with one store per touched word, one flush per
-  /// line and a single fence — each checksum line once, in whatever order
-  /// the batch touched its groups.
+  /// changes, folded per checksum word (O(1) per add), then applied with
+  /// one 8-byte store per touched word. Nothing is flushed or fenced — see
+  /// persist_checksums().
   struct CrcDeltas {
-    static constexpr usize kWordsPerLine = kCachelineSize / sizeof(u64);
-    struct Line {
-      u64* first;  ///< first word of the cache line
-      std::array<u64, kWordsPerLine> delta;
-      u8 touched;  ///< bit w set: word w received a delta
-    };
-    StampedIndex index;  ///< line number → position in `lines`
-    std::vector<Line> lines;
+    StampedIndex index;  ///< checksum word address → position in `words`
+    std::vector<std::pair<u64*, u64>> words;  ///< (checksum word, folded delta)
 
     void clear() {
       index.clear();
-      lines.clear();
+      words.clear();
     }
 
     void add(u64* slot, u64 delta) {
-      const auto addr = reinterpret_cast<std::uintptr_t>(slot);
       bool inserted = false;
-      const u32 pos = index.find_or_insert(addr / kCachelineSize,
-                                           static_cast<u32>(lines.size()), inserted);
-      if (inserted) {
-        lines.push_back(Line{reinterpret_cast<u64*>(addr - addr % kCachelineSize), {}, 0});
-      }
-      const usize w = addr % kCachelineSize / sizeof(u64);
-      lines[pos].delta[w] ^= delta;
-      lines[pos].touched = static_cast<u8>(lines[pos].touched | (1u << w));
+      const u32 pos = index.find_or_insert(reinterpret_cast<std::uintptr_t>(slot),
+                                           static_cast<u32>(words.size()), inserted);
+      if (inserted) words.emplace_back(slot, 0);
+      words[pos].second ^= delta;
     }
 
     template <class AnyPM>
-    void apply(AnyPM& pm) {
-      if (lines.empty()) return;
-      for (const Line& l : lines) {
-        for (usize w = 0; w < kWordsPerLine; ++w) {
-          if ((l.touched >> w & 1u) == 0) continue;
-          pm.atomic_store_u64(l.first + w, l.first[w] ^ l.delta[w]);
-        }
-        pm.flush(l.first, kCachelineSize);
-      }
-      pm.fence();
+    void apply(AnyPM& pm) const {
+      for (const auto& [slot, delta] : words) pm.atomic_store_u64(slot, *slot ^ delta);
     }
   };
 
@@ -900,14 +913,15 @@ class GroupHashTable {
   ///   fence   — staged payloads + in-place updates durable
   ///   phase 2 — atomic commit words + flushes
   ///   fence   — commits durable
-  ///   tail    — ONE count bump, then the folded checksum deltas
-  ///             (store+flush each, one fence)
-  /// Flushes go through a FlushCoalescer, which flushes a line written
-  /// by a run of nearby cells once per fence. Any commit word that reaches media implies the
-  /// phase-1 fence retired, so the per-cell crash discipline is exactly
-  /// publish()'s.
+  ///   tail    — ONE count bump (persisted: the third fence), then the
+  ///             folded checksum deltas (stores only)
+  /// Flushes go through a FlushCoalescer, which under Locality::kRuns
+  /// flushes a line written by a run of nearby cells once per fence. Any
+  /// commit word that reaches media implies the phase-1 fence retired, so
+  /// the per-cell crash discipline is exactly publish()'s.
   template <bool kCheckExisting>
-  usize put_batch_impl(std::span<const key_type> keys, std::span<const u64> values) {
+  usize put_batch_impl(std::span<const key_type> keys, std::span<const u64> values,
+                       nvm::Locality locality) {
     GH_CHECK(values.size() >= keys.size());
     stats_.batch_ops++;
     stats_.batch_keys += keys.size();
@@ -920,7 +934,7 @@ class GroupHashTable {
     }
     BatchScratch& scratch = batch_scratch();
     scratch.begin();
-    nvm::FlushCoalescer<PM> pm(*pm_);
+    nvm::FlushCoalescer<PM> pm(*pm_, locality);
     auto& staged = scratch.staged;
     usize updates = 0;
     usize done = 0;  // leading keys fully handled
@@ -999,17 +1013,16 @@ class GroupHashTable {
   [[nodiscard]] u64* crc_slot(u32 level, u64 g) const { return &crc_[level * num_groups() + g]; }
 
   /// XOR the digest delta of a just-mutated cell into its group checksum.
-  /// 8-byte atomic store: readers of the checksum word never see a torn
-  /// value, and a crash between cell commit and checksum store only
-  /// leaves the checksum stale — recovery rebuilds all of them.
+  /// 8-byte atomic store, not flushed: readers of the checksum word never
+  /// see a torn value, and the word is durable only after
+  /// persist_checksums() — a dirty open rebuilds all of them.
   void apply_digest_delta(const Cell* c, u32 old_digest) {
     u64* slot = crc_slot_of(c);
     pm_->atomic_store_u64(slot, *slot ^ old_digest ^ cell_digest(c));
-    pm_->persist(slot, sizeof(u64));
   }
 
-  /// Recompute and store the checksums of the groups covering cell
-  /// indices [begin, end) of BOTH levels (used by recovery).
+  /// Recompute and store (not flush) the checksums of the groups covering
+  /// cell indices [begin, end) of BOTH levels (used by recovery).
   template <class AnyPM>
   void rebuild_checksums_range(u64 begin, u64 end, AnyPM& pm) {
     const u64 first_group = begin / group_size_;
@@ -1021,8 +1034,6 @@ class GroupHashTable {
         for (u32 i = 0; i < group_size_; ++i) digest ^= cell_digest(base + i);
         pm.atomic_store_u64(crc_slot(level, g), digest);
       }
-      pm.persist(crc_slot(0, g), sizeof(u64));
-      pm.persist(crc_slot(1, g), sizeof(u64));
     }
   }
 
@@ -1130,9 +1141,9 @@ class GroupHashTable {
       tag_store(group_tags + i,
                 group_cells[i].occupied() ? tag_of_hash(hash_(group_cells[i].key())) : 0);
     }
-    // Re-seal the checksum over what remains, then fence the group off.
+    // Re-seal the checksum over what remains (durable with the rest at
+    // persist_checksums()), then fence the group off.
     pm_->atomic_store_u64(crc_slot(level, g), new_digest);
-    pm_->persist(crc_slot(level, g), sizeof(u64));
     quarantined_[level * num_groups() + g] = 1;
     any_quarantined_ = true;
     report.groups_quarantined++;

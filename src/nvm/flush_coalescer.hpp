@@ -23,6 +23,14 @@
 // (stage→fence→commit→fence, clear→fence→wipe→fence), so no store in an
 // epoch has to stay volatile past it.
 //
+// Holding lines back only pays when the batch comes back to them. A
+// batch of scattered keys (the service's puts) rarely writes one line
+// twice, and holding its flushes until the fence made 4- and 16-key
+// put_batch calls 13% and 21% slower than flushing at once. So the caller
+// says what it knows: Locality::kRuns (migration's copy, sorted by target
+// home, and its erase of a source group in cell order) gets the window;
+// Locality::kScattered issues every flush at once, as a plain policy does.
+//
 // The coalescer is call-local: it lives on the batch call's stack and
 // wraps the caller's policy. A policy shared by several writers (the
 // striped concurrent table shares one DirectPM) therefore holds no pending
@@ -39,6 +47,12 @@
 
 namespace gh::nvm {
 
+/// What the caller of a batched mutation knows about its write order.
+enum class Locality {
+  kScattered,  ///< no known order: every flush is issued at once
+  kRuns,       ///< cells are written in runs of nearby lines: merge in the window
+};
+
 template <class PM>
 class FlushCoalescer {
  public:
@@ -47,14 +61,19 @@ class FlushCoalescer {
   /// of one group) with room to spare.
   static constexpr usize kWindow = 16;
 
-  explicit FlushCoalescer(PM& pm) : pm_(&pm) {}
+  explicit FlushCoalescer(PM& pm, Locality locality = Locality::kRuns)
+      : pm_(&pm), hold_(locality == Locality::kRuns) {}
 
   void store_u64(u64* dst, u64 v) { pm_->store_u64(dst, v); }
   void atomic_store_u64(u64* dst, u64 v) { pm_->atomic_store_u64(dst, v); }
 
   /// Record the lines covering [addr, addr+n); a line pushed out of the
-  /// window is issued now.
+  /// window is issued now. Without a window (kScattered) issue them now.
   void flush(const void* addr, usize n) {
+    if (!hold_) {
+      pm_->flush(addr, n);
+      return;
+    }
     const u64 lines = lines_spanned(addr, n);
     const std::byte* line = line_begin(addr);
     for (u64 i = 0; i < lines; ++i, line += kCachelineSize) record(line);
@@ -97,6 +116,7 @@ class FlushCoalescer {
   }
 
   PM* pm_;
+  bool hold_;  ///< Locality::kRuns: record lines in the window
   std::array<const std::byte*, kWindow> window_{};
   usize pending_ = 0;  ///< lines held back
   usize oldest_ = 0;   ///< slot of the oldest line once the window is full

@@ -180,4 +180,12 @@ u64 ShadowPM::dirty_word_count() const {
   return n;
 }
 
+u64 ShadowPM::dirty_word_count(const void* addr, usize n) const {
+  u64 dirty = 0;
+  if (n == 0) return dirty;
+  const usize last = word_index(static_cast<const std::byte*>(addr) + n - 1);
+  for (usize w = word_index(addr); w <= last; ++w) dirty += (dirty_[w / 64] >> (w % 64)) & 1u;
+  return dirty;
+}
+
 }  // namespace gh::nvm

@@ -80,6 +80,8 @@ class ShadowPM {
   /// Number of dirty (unflushed) 8-byte words — useful for asserting a
   /// structure persisted everything it promised to.
   [[nodiscard]] u64 dirty_word_count() const;
+  /// Dirty words inside [addr, addr + n) (a range of the live span).
+  [[nodiscard]] u64 dirty_word_count(const void* addr, usize n) const;
 
  private:
   /// One flushed-but-unfenced cacheline: the snapshot flush() took of its

@@ -1,9 +1,9 @@
 // Crash coverage of the one-window batched mutation paths.
 //
 // upsert_batch and erase_batch run a whole call as one fence window, and
-// their flushes go through a coalescer that merges writes to one cache
-// line and may issue a line's flush long after its first store
-// (nvm/flush_coalescer.hpp). Two shapes stress what that changes:
+// their flushes go through a coalescer that, for a batch written in runs,
+// merges writes to one cache line and may issue a line's flush long after
+// its first store (nvm/flush_coalescer.hpp). Two shapes stress what that changes:
 //
 //   * one upsert_batch of 48 keys over a small, partly filled table: new
 //     keys, in-place updates of committed keys, and duplicates of both
@@ -11,13 +11,19 @@
 //   * one erase_batch of a completely full group (every level-1 and
 //     level-2 cell of group 0) plus a miss and a duplicate.
 //
+// Both shapes run under both flush localities: Locality::kScattered (the
+// service's batches: every flush at once) and Locality::kRuns (migration's:
+// the coalescer's window).
+//
 // ShadowPM crashes the batch at EVERY persistence event; each crash image
 // is materialised under three eviction policies (nothing / everything /
 // a random subset of dirty 8-byte words). After recovery the table must
 // match the oracle: untouched keys intact, every batch key either in its
 // pre-batch state or holding a value the batch wrote for it, `count`
 // equal to what is reachable, every group checksum valid, and a second
-// recovery with nothing left to scrub.
+// recovery with nothing left to scrub. A completed batch may leave only
+// group checksum words unflushed (they wait for persist_checksums(), which
+// then leaves nothing dirty).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -71,7 +77,8 @@ class BatchCrash : public ::testing::Test {
   };
 
   /// The batch under test; throws SimulatedCrash when the trigger fires.
-  using Script = void (*)(Table&, const std::vector<Key>&, const std::vector<u64>&);
+  using Script = void (*)(Table&, const std::vector<Key>&, const std::vector<u64>&,
+                          nvm::Locality);
 
   struct Setup {
     std::vector<Key> prefill;     ///< committed before the batch
@@ -84,7 +91,7 @@ class BatchCrash : public ::testing::Test {
   /// Replays format + prefill + batch on `pm`, crashing at `crash_at`
   /// events after the batch starts. Returns {events the batch took, crashed}.
   std::pair<u64, bool> run(ShadowPM& pm, std::span<std::byte> mem, const Setup& setup,
-                           Script script, u64 crash_at) {
+                           Script script, nvm::Locality locality, u64 crash_at) {
     pm.crash_at_event(ShadowPM::no_crash());
     Table t(pm, mem, kParams, /*format=*/true);
     for (usize i = 0; i < setup.prefill.size(); ++i) {
@@ -94,7 +101,7 @@ class BatchCrash : public ::testing::Test {
     if (crash_at != ShadowPM::no_crash()) pm.crash_at_event(start + crash_at);
     bool crashed = false;
     try {
-      script(t, setup.batch_keys, setup.batch_values);
+      script(t, setup.batch_keys, setup.batch_values, locality);
     } catch (const SimulatedCrash&) {
       crashed = true;
     }
@@ -132,17 +139,34 @@ class BatchCrash : public ::testing::Test {
     EXPECT_EQ(second.recovered_count, present) << where;
   }
 
-  /// Crash the batch at every event, under every eviction policy.
+  /// Crash the batch at every event, under every eviction policy and
+  /// both flush localities.
   void sweep(const Setup& setup, const Oracle& oracle, Script script, u64 min_events) {
+    for (const nvm::Locality locality : {nvm::Locality::kScattered, nvm::Locality::kRuns}) {
+      SCOPED_TRACE(locality == nvm::Locality::kRuns ? "Locality::kRuns" : "Locality::kScattered");
+      sweep(setup, oracle, script, locality, min_events);
+      if (HasFatalFailure()) return;
+    }
+  }
+
+  void sweep(const Setup& setup, const Oracle& oracle, Script script, nvm::Locality locality,
+             u64 min_events) {
     const usize bytes = Table::required_bytes(kParams);
     nvm::NvmRegion region = nvm::NvmRegion::create_anonymous(round_up(bytes, 4096));
     const auto mem = region.bytes().first(round_up(bytes, 8));
 
     ShadowPM dry(mem);
-    const auto [events, crashed] = run(dry, mem, setup, script, ShadowPM::no_crash());
+    const auto [events, crashed] = run(dry, mem, setup, script, locality, ShadowPM::no_crash());
     ASSERT_FALSE(crashed);
     ASSERT_GE(events, min_events) << "batch too small to be interesting";
-    EXPECT_EQ(dry.dirty_word_count(), 0u) << "a completed batch left unflushed writes";
+    {
+      Table t = Table::attach(dry, mem);
+      const std::span<const u64> crc = t.checksum_words();
+      EXPECT_EQ(dry.dirty_word_count() - dry.dirty_word_count(crc.data(), crc.size_bytes()), 0u)
+          << "a completed batch left unflushed writes outside the checksum array";
+      t.persist_checksums();
+      EXPECT_EQ(dry.dirty_word_count(), 0u) << "persist_checksums() left unflushed writes";
+    }
     dry.reset_to_image(dry.materialize_crash_image(CrashMode::kNothingEvicted));
     verify(dry, mem, oracle, "completed batch");
 
@@ -151,7 +175,7 @@ class BatchCrash : public ::testing::Test {
            {CrashMode::kNothingEvicted, CrashMode::kAllEvicted, CrashMode::kRandomEviction}) {
         std::fill(mem.begin(), mem.end(), std::byte{0});
         ShadowPM pm(mem);
-        const auto [_, fired] = run(pm, mem, setup, script, crash_at);
+        const auto [_, fired] = run(pm, mem, setup, script, locality, crash_at);
         ASSERT_TRUE(fired) << "crash point " << crash_at << " did not fire";
         pm.reset_to_image(pm.materialize_crash_image(mode, crash_at * 31 + 7));
         verify(pm, mem, oracle,
@@ -206,8 +230,8 @@ TYPED_TEST(BatchCrash, UpsertBatchBeyondOldWindowWithSharedLineDuplicatesAndUpda
   ASSERT_GT(setup.batch_keys.size(), 32u);
 
   auto script = [](typename Fixture::Table& t, const std::vector<Key>& keys,
-                   const std::vector<u64>& values) {
-    ASSERT_EQ(t.upsert_batch(keys, values), keys.size());
+                   const std::vector<u64>& values, nvm::Locality locality) {
+    ASSERT_EQ(t.upsert_batch(keys, values, locality), keys.size());
   };
   this->sweep(setup, oracle, script, /*min_events=*/100);
 }
@@ -259,8 +283,8 @@ TYPED_TEST(BatchCrash, EraseBatchOfAFullGroup) {
   }
 
   auto script = [](typename Fixture::Table& t, const std::vector<Key>& keys,
-                   const std::vector<u64>&) {
-    ASSERT_EQ(t.erase_batch(keys, {}), keys.size() - 2);
+                   const std::vector<u64>&, nvm::Locality locality) {
+    ASSERT_EQ(t.erase_batch(keys, {}, locality), keys.size() - 2);
   };
   this->sweep(setup, oracle, script, /*min_events=*/80);
 }

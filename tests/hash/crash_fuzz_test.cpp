@@ -71,8 +71,9 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
     return trace::make_op_trace(w, 30, 50, 0.2, 0.3, GetParam().seed * 7 + 1);
   }
 
-  /// Executes ops until a crash fires (or all complete). Records the
-  /// event count at the END of each completed op.
+  /// Executes ops until a crash fires (or all complete), then persists
+  /// the checksums. Records the event count at the END of each completed
+  /// op.
   struct RunResult {
     std::vector<u64> op_end_events;
     bool crashed = false;
@@ -110,7 +111,13 @@ class CrashFuzz : public ::testing::TestWithParam<FuzzCase> {
         }
         r.op_end_events.push_back(pm.event_count());
         r.ops_completed++;
+        // A completed op has made every write durable except the group
+        // checksum words, which wait for persist_checksums().
+        const std::span<const u64> crc = table->checksum_words();
+        EXPECT_EQ(pm.dirty_word_count() - pm.dirty_word_count(crc.data(), crc.size_bytes()), 0u)
+            << "op " << r.ops_completed << " left unflushed writes outside the checksum array";
       }
+      table->persist_checksums();  // what a clean close does before its mark
     } catch (const SimulatedCrash&) {
       r.crashed = true;
     }
@@ -135,7 +142,7 @@ TEST_P(CrashFuzz, RandomCrashPointsRecoverToOracleState) {
   const RunResult timeline = run(dry, mem, flight_mem, ops, ShadowPM::no_crash());
   ASSERT_FALSE(timeline.crashed);
   ASSERT_EQ(timeline.ops_completed, ops.ops.size());
-  EXPECT_EQ(dry.dirty_word_count(), 0u);
+  EXPECT_EQ(dry.dirty_word_count(), 0u) << "persist_checksums() left unflushed writes";
   const u64 first_event = timeline.op_end_events.empty() ? 0 : 1;
   const u64 total_events = timeline.op_end_events.back();
 
